@@ -4,7 +4,7 @@
       registers, basic blocks, functions, programs, def/use metadata,
       printing and validation.
     - {!Liveness}: backward dataflow liveness over both register classes.
-    - {!Dominators}: dominator sets and natural-loop discovery.
+    - {!Dominators}: immediate dominators and natural-loop discovery.
     - {!Memmap}: data-memory layout (globals, stack) and big-endian byte
       access shared by the interpreter and both backends.
     - {!Interp}: the reference interpreter defining MIR semantics.

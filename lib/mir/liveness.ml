@@ -1,10 +1,17 @@
 (* Backward iterative liveness analysis over MIR, covering both register
    classes (GPR-class virtuals and predicate virtuals). *)
 
+(* Ordered by class (GPR before predicate), then by number: the order
+   polymorphic [compare] gives, without its cost.  Register allocation
+   iterates these sets, so the order is part of the interface. *)
 module RSet = Set.Make (struct
   type t = Ir.rclass * int
 
-  let compare = compare
+  let compare ((c1, n1) : t) ((c2, n2) : t) =
+    match (c1, c2) with
+    | Ir.Cgpr, Ir.Cpred -> -1
+    | Ir.Cpred, Ir.Cgpr -> 1
+    | Ir.Cgpr, Ir.Cgpr | Ir.Cpred, Ir.Cpred -> Int.compare n1 n2
 end)
 
 type t = {

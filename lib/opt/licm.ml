@@ -47,7 +47,11 @@ let redirect_entries (f : Ir.func) body header pre =
       end)
     f.Ir.f_blocks
 
-let hoist_loop (f : Ir.func) (l : Dom.loop) =
+(* Harvest the invariant instructions of loop [l] into a fresh preheader.
+   [live] is whole-function liveness of [f] as it is now, shared by the
+   round's candidate loops.  Returns false, leaving [f] untouched, when
+   nothing is hoistable. *)
+let hoist_loop (f : Ir.func) (live : Liveness.t Lazy.t) (l : Dom.loop) =
   let body_blocks =
     List.filter (fun (b : Ir.block) -> Dom.LSet.mem b.Ir.b_id l.Dom.body) f.Ir.f_blocks
   in
@@ -65,7 +69,7 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
             (Ir.defs_of_inst i))
         b.Ir.b_insts)
     body_blocks;
-  let live = Liveness.analyse f in
+  let live = Lazy.force live in
   let header_live_in = Liveness.live_in live l.Dom.header in
   (* Labels outside the loop reachable from inside (exit targets). *)
   let exit_live =
@@ -79,11 +83,8 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
           (Ir.successors b.Ir.b_term))
       Liveness.RSet.empty body_blocks
   in
-  let operand_invariant (o : Ir.operand) =
-    match o with
-    | Ir.Imm _ -> true
-    | Ir.Reg r -> not (Hashtbl.mem def_count r)
-  in
+  (* Every register operand of a pure instruction is a GPR-class use, so
+     the uses check covers operand invariance. *)
   let hoistable (i : Ir.inst) =
     i.Ir.guard = None
     && pure_total i.Ir.kind
@@ -96,40 +97,35 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
           && (not (Liveness.RSet.mem (Ir.Cgpr, d) header_live_in))
           && not (Liveness.RSet.mem (Ir.Cgpr, d) exit_live)
         | _ -> false)
-    &&
-    (* operand_invariant is already covered by the uses check; keep the
-       helper for readability of intent. *)
-    List.for_all
-      (fun o -> operand_invariant o)
-      (match i.Ir.kind with
-       | Ir.Bin (_, _, a, b) | Ir.Cmp (_, _, a, b) | Ir.Custom (_, _, a, b) ->
-         [ a; b ]
-       | Ir.Mov (_, a) -> [ a ]
-       | _ -> [])
   in
-  let hoisted = ref [] in
-  List.iter
-    (fun (b : Ir.block) ->
-      let keep, out = List.partition (fun i -> not (hoistable i)) b.Ir.b_insts in
-      if out <> [] then begin
-        b.Ir.b_insts <- keep;
-        hoisted := !hoisted @ out;
-        (* The moved definitions no longer count as in-loop defs, but we
-           only perform one harvest per loop per round; chains migrate on
-           the next round. *)
-        List.iter
-          (fun i ->
-            List.iter
-              (fun (c, r) -> if c = Ir.Cgpr then Hashtbl.remove def_count r)
-              (Ir.defs_of_inst i))
-          out
-      end)
-    body_blocks;
-  match !hoisted with
+  (* Blocks are harvested in layout order.  A harvested definition stops
+     counting as an in-loop def, so its users in later blocks may follow
+     it in this same harvest; users in its own block wait a round. *)
+  let hoisted_rev =
+    List.fold_left
+      (fun acc (b : Ir.block) ->
+        let keep, out = List.partition (fun i -> not (hoistable i)) b.Ir.b_insts in
+        if out = [] then acc
+        else begin
+          b.Ir.b_insts <- keep;
+          List.iter
+            (fun i ->
+              List.iter
+                (fun (c, r) -> if c = Ir.Cgpr then Hashtbl.remove def_count r)
+                (Ir.defs_of_inst i))
+            out;
+          out :: acc
+        end)
+      [] body_blocks
+  in
+  match hoisted_rev with
   | [] -> false
-  | insts ->
+  | _ ->
     let pre = fresh_label f in
-    let pre_block = { Ir.b_id = pre; b_insts = insts; b_term = Ir.Jmp l.Dom.header } in
+    let pre_block =
+      { Ir.b_id = pre; b_insts = List.concat (List.rev hoisted_rev);
+        b_term = Ir.Jmp l.Dom.header }
+    in
     redirect_entries f l.Dom.body l.Dom.header pre;
     (* Keep layout order: the preheader sits right before its header. *)
     let rec insert = function
@@ -141,22 +137,25 @@ let hoist_loop (f : Ir.func) (l : Dom.loop) =
     true
 
 let run_func (f : Ir.func) =
-  (* Hoisting rewires the CFG, so loop/dominator/liveness facts go stale
-     after every successful hoist: harvest one loop per round and
-     re-analyse.  Innermost (smallest) loops first, so values migrate
-     outward one level per round. *)
+  (* Hoisting rewires the CFG, so every analysis goes stale after a
+     successful hoist: harvest one loop per round and re-analyse.  Each
+     round solves dominators and natural loops once, and whole-function
+     liveness at most once, shared by the round's candidate loops.  The
+     sharing is exact: a loop that hoists nothing leaves [f] untouched,
+     and the first loop that hoists ends the round.  Innermost (smallest)
+     loops first, so values migrate outward one level per round. *)
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds < 16 do
     incr rounds;
-    changed := false;
     let doms = Dom.analyse f in
     let loops =
       List.sort
         (fun a b -> compare (Dom.LSet.cardinal a.Dom.body) (Dom.LSet.cardinal b.Dom.body))
         (Dom.natural_loops doms f)
     in
-    changed := List.exists (fun l -> hoist_loop f l) loops
+    let live = lazy (Liveness.analyse f) in
+    changed := List.exists (fun l -> hoist_loop f live l) loops
   done
 
 let run (p : Ir.program) =

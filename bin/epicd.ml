@@ -4,12 +4,13 @@
    Unix socket (--socket) or stdin/stdout (the default pipe mode, one
    daemon per client, convenient under a supervisor or in CI).
 
-   Requests fan out over the Epic_exec domain pool; responses come back
-   in request order and are byte-identical for every --jobs value.  With
-   --cache-dir, results are served from a persistent on-disk artifact
-   cache keyed by configuration fingerprint x source digest x request
-   parameters, so a campaign replayed tomorrow — or by the next daemon —
-   hits disk instead of the compiler.
+   Every connection (pipe mode is one connection) submits its requests
+   to one shared Epic_exec work queue of --jobs domains; responses come
+   back in request order and are byte-identical for every --jobs and
+   --max-conns value.  With --cache-dir, results are served from a
+   persistent on-disk artifact cache keyed by configuration fingerprint
+   x source digest x request parameters, so a campaign replayed
+   tomorrow — or by the next daemon — hits disk instead of the compiler.
 
    On exit the daemon prints a JSON summary (request counts, latency
    percentiles, queue depth, cache traffic) to stderr; the same numbers
@@ -17,8 +18,7 @@
 
 open Cmdliner
 
-let run socket max_conns cache_dir cache_entries batch_max queue_max
-    deadline_ms jobs =
+let run socket max_conns cache_dir cache_entries queue_max deadline_ms jobs =
   Cli_common.handle_errors @@ fun () ->
   let store =
     Option.map
@@ -26,7 +26,7 @@ let run socket max_conns cache_dir cache_entries batch_max queue_max
       cache_dir
   in
   let t =
-    Epic_serve.Server.create ~jobs ~batch_max ~queue_max ?deadline_ms ?store ()
+    Epic_serve.Server.create ~jobs ~queue_max ?deadline_ms ?store ()
   in
   let stop =
     match socket with
@@ -40,7 +40,7 @@ let run socket max_conns cache_dir cache_entries batch_max queue_max
   (* The shutdown summary goes to stderr, like every campaign tool's
      statistics: stdout carries only responses. *)
   Printf.eprintf "%s\n"
-    (Epic.Profile.Json.to_string (Epic_serve.Server.summary_json t))
+    (Epic.Profile.Json.to_string (Epic_serve.Server.stats_json t))
 
 let cmd =
   let socket =
@@ -54,9 +54,9 @@ let cmd =
     Arg.(value & opt int 8
          & info [ "max-conns" ] ~docv:"N"
            ~doc:"Serve up to $(docv) socket connections concurrently over one \
-                 shared worker pool, with cross-client deduplication of \
+                 shared work queue, with cross-client deduplication of \
                  identical in-flight requests.  With 1, connections are \
-                 accepted strictly one at a time.  Ignored in pipe mode.")
+                 accepted one at a time.  Ignored in pipe mode.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None
@@ -71,12 +71,6 @@ let cmd =
          & info [ "cache-entries" ] ~docv:"N"
            ~doc:"Cap the artifact cache at $(docv) entries; the oldest \
                  entries are evicted beyond it (default: unlimited).")
-  in
-  let batch_max =
-    Arg.(value & opt int 64
-         & info [ "batch-max" ] ~docv:"N"
-           ~doc:"Dispatch at most $(docv) queued requests to the domain pool \
-                 at once.")
   in
   let queue_max =
     Arg.(value & opt int 256
@@ -98,6 +92,6 @@ let cmd =
        ~doc:"Serve EPIC compile-and-simulate requests over newline-delimited \
              JSON")
     Term.(const run $ socket $ max_conns $ cache_dir $ cache_entries
-          $ batch_max $ queue_max $ deadline_ms $ Cli_common.jobs_term)
+          $ queue_max $ deadline_ms $ Cli_common.jobs_term)
 
 let () = exit (Cmd.eval cmd)

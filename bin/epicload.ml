@@ -74,8 +74,8 @@ let extras =
       { P.ex_source = wl "dijkstra" [ ("nodes", 6) ]; ex_alus = [ 1; 2 ];
         ex_issues = [ 4 ] } ]
 
-(* Interleave a stats barrier every [n] requests: forces small batches,
-   the bursty-arrival shape. *)
+(* Interleave a stats barrier every [n] requests: each barrier drains the
+   connection, the bursty-arrival shape. *)
 let burstify n ops =
   List.concat
     (List.mapi
@@ -145,20 +145,34 @@ let pass_spawn ?(extra_args = []) ~jobs ~cache_dir bin lines =
      failwith (Printf.sprintf "epicd %s" what));
   responses
 
+(* The first request goes alone and its reply is awaited before the rest
+   are pipelined: concurrent clients then start their streams in step
+   (see [run_clients]). *)
 let pass_connect path lines =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect sock (Unix.ADDR_UNIX path);
   let oc = Unix.out_channel_of_descr sock in
-  List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
-  flush oc;
-  Unix.shutdown sock Unix.SHUTDOWN_SEND;
   let ic = Unix.in_channel_of_descr sock in
+  let send ls =
+    List.iter (fun l -> output_string oc l; output_char oc '\n') ls;
+    flush oc
+  in
+  let first_reply =
+    match lines with
+    | [] -> []
+    | first :: rest ->
+      send [ first ];
+      let reply = input_line ic in
+      send rest;
+      [ reply ]
+  in
+  Unix.shutdown sock Unix.SHUTDOWN_SEND;
   let rec read acc =
     match input_line ic with
     | line -> read (line :: acc)
     | exception End_of_file -> List.rev acc
   in
-  let responses = read [] in
+  let responses = first_reply @ read [] in
   (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
   responses
 
@@ -342,9 +356,13 @@ let run_chaos ~cache_dir ~epicd_bin ~seed ~report_file ~jobs =
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent clients: N threads replay the same scenario against one
-   socket daemon.  A start barrier makes the identical request streams
-   actually overlap, which is what exercises the daemon's cross-client
-   in-flight deduplication rather than its disk cache. *)
+   socket daemon, to exercise its cross-client in-flight deduplication
+   rather than its disk cache.  A start barrier alone does not make the
+   identical streams overlap: a client's whole stream is queued before
+   the next client's reader runs, so identical requests rarely meet in
+   flight.  Each client therefore sends its first request alone (all of
+   them are then in flight together) and waits for the reply before
+   pipelining the rest, which starts the streams in step. *)
 
 let run_clients ~path ~clients lines =
   let mu = Mutex.create () in

@@ -57,10 +57,14 @@ module Pool = struct
 end
 
 module Cache = struct
-  type 'a entry =
+  type 'a state =
     | In_flight
     | Ready of 'a
     | Failed of exn
+
+  (* Waiters hold the entry record itself, so an entry that [share]
+     drops from the table on resolution still delivers its outcome. *)
+  type 'a entry = { mutable state : 'a state }
 
   type stats = { hits : int; misses : int }
 
@@ -79,37 +83,45 @@ module Cache = struct
 
   (* First requester computes outside the lock; everyone else blocks on
      the condition until the entry resolves.  Exceptions are memoised so
-     every requester of a failing key observes the same failure. *)
-  let find_or_add t key f =
+     every requester of a failing key observes the same failure.  With
+     [keep = false] the entry leaves the table as it resolves, so the
+     key's lifetime is exactly one computation. *)
+  let lookup ~keep t key f =
     Mutex.lock t.mutex;
-    let rec await () =
-      match Hashtbl.find_opt t.table key with
-      | Some (Ready v) ->
-        t.hits <- t.hits + 1;
-        Mutex.unlock t.mutex;
-        v
-      | Some (Failed e) ->
-        t.hits <- t.hits + 1;
-        Mutex.unlock t.mutex;
-        raise e
-      | Some In_flight ->
-        Condition.wait t.cond t.mutex;
-        await ()
-      | None ->
-        Hashtbl.replace t.table key In_flight;
-        t.misses <- t.misses + 1;
-        Mutex.unlock t.mutex;
-        let resolve entry =
-          Mutex.lock t.mutex;
-          Hashtbl.replace t.table key entry;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mutex
-        in
-        (match f () with
-         | v -> resolve (Ready v); v
-         | exception e -> resolve (Failed e); raise e)
-    in
-    await ()
+    match Hashtbl.find_opt t.table key with
+    | Some e ->
+      t.hits <- t.hits + 1;
+      let rec await () =
+        match e.state with
+        | In_flight ->
+          Condition.wait t.cond t.mutex;
+          await ()
+        | Ready v ->
+          Mutex.unlock t.mutex;
+          v
+        | Failed x ->
+          Mutex.unlock t.mutex;
+          raise x
+      in
+      await ()
+    | None ->
+      let e = { state = In_flight } in
+      Hashtbl.replace t.table key e;
+      t.misses <- t.misses + 1;
+      Mutex.unlock t.mutex;
+      let resolve st =
+        Mutex.lock t.mutex;
+        e.state <- st;
+        if not keep then Hashtbl.remove t.table key;
+        Condition.broadcast t.cond;
+        Mutex.unlock t.mutex
+      in
+      (match f () with
+       | v -> resolve (Ready v); v
+       | exception x -> resolve (Failed x); raise x)
+
+  let find_or_add t key f = lookup ~keep:true t key f
+  let share t key f = lookup ~keep:false t key f
 
   let stats t =
     Mutex.lock t.mutex;
@@ -153,14 +165,14 @@ end
 
    Pool.run spawns domains per call, which is right for campaigns (one
    big fan-out, then done) but wrong for a server: a long-lived daemon
-   dispatching small batches would pay domain startup on every batch.
+   dispatching small requests would pay domain startup on every one.
    Workq keeps [jobs] domains alive for the lifetime of the queue; any
    thread may submit thunks, and idle workers pick them up in FIFO
    order.  Completion is the submitter's business (the thunk writes to
    a completion cell and signals its own condition variable), which is
    what lets one queue serve many independent submitters — the
-   concurrent daemon's connections — without the queue knowing about
-   response routing. *)
+   daemon's connections — without the queue knowing about response
+   routing. *)
 
 module Workq = struct
   type t = {
@@ -168,7 +180,6 @@ module Workq = struct
     cond : Condition.t;          (* a task arrived, or stop was set *)
     tasks : (unit -> unit) Queue.t;
     mutable stop : bool;
-    mutable live : int;          (* submitted, not yet finished *)
     mutable workers : unit Domain.t list;
   }
 
@@ -186,9 +197,6 @@ module Workq = struct
          escaping here would silently kill a worker, so the last-resort
          catch keeps the pool at full strength no matter what. *)
       (try task () with _ -> ());
-      Mutex.lock t.mu;
-      t.live <- t.live - 1;
-      Mutex.unlock t.mu;
       worker t
     end
 
@@ -197,7 +205,7 @@ module Workq = struct
     if jobs < 1 then invalid_arg "Epic_exec.Workq.create: jobs must be >= 1";
     let t =
       { mu = Mutex.create (); cond = Condition.create ();
-        tasks = Queue.create (); stop = false; live = 0; workers = [] }
+        tasks = Queue.create (); stop = false; workers = [] }
     in
     t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
     t
@@ -208,16 +216,9 @@ module Workq = struct
       Mutex.unlock t.mu;
       invalid_arg "Epic_exec.Workq.submit: queue is shut down"
     end;
-    t.live <- t.live + 1;
     Queue.push task t.tasks;
     Condition.signal t.cond;
     Mutex.unlock t.mu
-
-  let live t =
-    Mutex.lock t.mu;
-    let n = t.live in
-    Mutex.unlock t.mu;
-    n
 
   (* Graceful: pending tasks still run; workers exit once the queue is
      empty. *)

@@ -61,6 +61,13 @@ module Cache : sig
       identical value.  Waiting for an in-flight computation counts as a
       hit. *)
 
+  val share : 'a t -> string -> (unit -> 'a) -> 'a
+  (** [share t key f] is {!find_or_add} without retention: concurrent
+      requesters of [key] still wait for the one computation of [f] and
+      share its value or exception, but the entry is dropped as soon as
+      [f] resolves, so a later request computes afresh.  This is the
+      serving daemon's in-flight deduplication table. *)
+
   val stats : 'a t -> stats
   val name : 'a t -> string
   val length : 'a t -> int
@@ -86,12 +93,12 @@ end
 module Workq : sig
   (** A {e persistent} worker pool: [jobs] domains that outlive any one
       fan-out.  {!Pool} spawns domains per call — right for campaigns,
-      wrong for a long-running daemon dispatching small batches.  Any
+      wrong for a long-running daemon dispatching small requests.  Any
       thread (systhread or domain) may {!submit} thunks; idle workers
       execute them in FIFO submission order.  Completion signalling is
       the submitter's job: a task typically writes a completion cell and
       signals the submitter's own condition variable, which is what lets
-      one queue serve many independent submitters (the concurrent
+      one queue serve many independent submitters (the serving
       daemon's connections) without the queue knowing about response
       routing.
 
@@ -107,9 +114,6 @@ module Workq : sig
 
   val submit : t -> (unit -> unit) -> unit
   (** Enqueue a task.  @raise Invalid_argument after {!shutdown}. *)
-
-  val live : t -> int
-  (** Tasks submitted but not yet finished (queued + running). *)
 
   val shutdown : t -> unit
   (** Graceful stop: pending tasks still run, workers exit once the

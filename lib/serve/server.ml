@@ -1,20 +1,20 @@
-(* The epicd serving core: a batching request loop over the Epic_exec
-   domain pool, fronted by the persistent disk cache.
+(* The epicd serving core: one request loop per connection over a
+   shared Epic_exec work queue, fronted by the persistent disk cache.
 
-   Requests are read line by line.  Work requests accumulate in a batch
-   while more input is immediately available (or until the batch cap);
-   the batch then fans out across the pool and the responses are emitted
-   in request order — so the response stream is byte-identical for every
-   jobs value, exactly like the campaign CLIs.  Control requests (stats,
-   shutdown) act as barriers: they flush the pending batch, then answer
-   sequentially.
+   Requests are read line by line.  Each admitted work request becomes a
+   task on the work queue and a completion cell in the connection's
+   FIFO; responses are emitted in cell order — so the response stream is
+   byte-identical for every jobs value, exactly like the campaign CLIs.
+   Control requests (stats, shutdown) act as barriers: they drain the
+   connection's FIFO, then answer inline.  Pipe mode and the in-memory
+   transport are simply one connection.
 
    Work results are served through {!Store.find_or_add} when a disk
    cache is attached: the cache key is {!Protocol.cache_key}, the cached
    value is the serialised result payload, and a hit splices those bytes
    verbatim into the response.  An in-memory {!Epic.Toolchain.Compile_cache}
    additionally deduplicates compiles inside one process (including
-   between concurrent jobs of one batch). *)
+   between concurrent requests). *)
 
 module J = Epic.Profile.Json
 module P = Protocol
@@ -64,75 +64,8 @@ module Reservoir = struct
   let snapshot t = Array.sub t.sample 0 (sampled t)
 end
 
-(* ------------------------------------------------------------------ *)
-(* Cross-client in-flight deduplication.
-
-   The disk store already collapses {e repeated} requests; this table
-   collapses {e concurrent} ones.  Keyed by {!Protocol.cache_key}: the
-   first evaluator of a key (the leader) registers an entry, computes,
-   resolves, and removes the entry; anyone who finds the entry in
-   between waits for the leader's outcome and shares it — bytes
-   identical, work done once.  The entry is removed {e before} waiters
-   wake (they hold their own reference), so a key's table lifetime is
-   exactly the leader's evaluation.
-
-   Failures are shared too: a result payload is a deterministic
-   function of the request, and so is the exception it raises instead —
-   except for outcomes the [retry] predicate rejects (deadline misses:
-   the leader's budget is its own policy, not a property of the
-   request), where the waiter re-runs the protocol and typically
-   becomes the next leader. *)
-
-module Dedup = struct
-  type outcome = D_ok of string * bool | D_exn of exn
-
-  type entry = { mutable out : outcome option; cond : Condition.t }
-
-  type t = { mu : Mutex.t; tbl : (string, entry) Hashtbl.t }
-
-  let create () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
-
-  (* [run t ~retry ~on_hit key f] returns [(payload, disk, shared)];
-     [on_hit] fires once per response actually shared from a leader. *)
-  let rec run t ~retry ~on_hit key (f : unit -> string * bool) =
-    Mutex.lock t.mu;
-    match Hashtbl.find_opt t.tbl key with
-    | None ->
-      let e = { out = None; cond = Condition.create () } in
-      Hashtbl.add t.tbl key e;
-      Mutex.unlock t.mu;
-      let o = (match f () with p, d -> D_ok (p, d) | exception x -> D_exn x) in
-      Mutex.lock t.mu;
-      e.out <- Some o;
-      Hashtbl.remove t.tbl key;
-      Condition.broadcast e.cond;
-      Mutex.unlock t.mu;
-      (match o with D_ok (p, d) -> (p, d, false) | D_exn x -> raise x)
-    | Some e ->
-      let rec await () =
-        match e.out with
-        | None ->
-          Condition.wait e.cond t.mu;
-          await ()
-        | Some o -> o
-      in
-      let o = await () in
-      Mutex.unlock t.mu;
-      (match o with
-       | D_ok (p, _disk) ->
-         (* Shared, not read from disk by {e this} request: the disk
-            flag stays with the leader so stats don't double-count. *)
-         on_hit ();
-         (p, false, true)
-       | D_exn x when retry x -> run t ~retry ~on_hit key f
-       | D_exn x ->
-         on_hit ();
-         raise x)
-end
-
 type t = {
   jobs : int;
-  batch_max : int;
   queue_max : int;            (* admission high-water mark: shed beyond *)
   deadline_ms : int option;   (* server default per-request deadline *)
   deadline_cycles_per_ms : int;
@@ -146,16 +79,19 @@ type t = {
          predecode (compile-based ops reuse the one in the artifacts) *)
   sim_rate : Epic.Experiments.sim_rate Lazy.t;
       (* host throughput probe: ~0.25s, forced on the first stats
-         request (the control path is sequential, so forcing is safe) *)
+         request, under [probe_mu] *)
   t_start : float;
   stat_mu : Mutex.t;
       (* guards every mutable counter below plus the latency reservoir —
-         in concurrent socket mode they are touched from every reader
-         thread and every pool worker *)
+         they are touched from every reader thread and every worker *)
   probe_mu : Mutex.t;
       (* serialises forcing the sim_rate probe: [Lazy.force] is not
          safe to race, and concurrent stats requests would *)
-  dedup : Dedup.t;
+  inflight : (string * bool, int) result Epic.Exec.Cache.t;
+      (* cross-client in-flight deduplication, keyed by
+         {!Protocol.cache_key}: the disk store collapses repeated
+         requests, this collapses concurrent ones.  A value is
+         [Ok (payload, from_disk)] or [Error ms] for a missed deadline. *)
   mutable n_ok : int;
   mutable n_err : int;
   mutable n_disk_served : int;      (* ok responses spliced from disk *)
@@ -164,19 +100,15 @@ type t = {
   mutable n_deadline : int;         (* requests that missed their deadline *)
   mutable n_dedup : int;            (* responses shared from an in-flight twin *)
   mutable n_fanout : int;           (* requests granted intra-request jobs > 1 *)
-  mutable outstanding : int;        (* work dispatched but not yet completed *)
+  mutable outstanding : int;        (* work admitted, response not yet written *)
   mutable op_counts : (string * int) list;
   lat : Reservoir.t;                (* per work request, service+wait, bounded *)
-  mutable q_max : int;              (* deepest batch / in-flight depth seen *)
-  mutable batches : int;
+  mutable q_max : int;              (* deepest admission depth seen *)
 }
 
-let create ?(jobs = Epic.Exec.default_jobs ()) ?(batch_max = 64)
-    ?(queue_max = 256) ?deadline_ms ?(deadline_cycles_per_ms = 10_000) ?store
-    () =
+let create ?(jobs = Epic.Exec.default_jobs ()) ?(queue_max = 256) ?deadline_ms
+    ?(deadline_cycles_per_ms = 10_000) ?store () =
   if jobs < 1 then invalid_arg "Epic_serve.Server.create: jobs must be >= 1";
-  if batch_max < 1 then
-    invalid_arg "Epic_serve.Server.create: batch_max must be >= 1";
   if queue_max < 1 then
     invalid_arg "Epic_serve.Server.create: queue_max must be >= 1";
   (match deadline_ms with
@@ -185,19 +117,17 @@ let create ?(jobs = Epic.Exec.default_jobs ()) ?(batch_max = 64)
    | _ -> ());
   if deadline_cycles_per_ms < 1 then
     invalid_arg "Epic_serve.Server.create: deadline_cycles_per_ms must be >= 1";
-  { jobs; batch_max; queue_max; deadline_ms; deadline_cycles_per_ms; store;
+  { jobs; queue_max; deadline_ms; deadline_cycles_per_ms; store;
     cache = Epic.Toolchain.Compile_cache.create ();
     pre_cache = Epic.Exec.Cache.create ~name:"predecode" ();
     sim_rate = lazy (Epic.Experiments.sim_rate ());
     t_start = Epic.Exec.now ();
     stat_mu = Mutex.create (); probe_mu = Mutex.create ();
-    dedup = Dedup.create ();
+    inflight = Epic.Exec.Cache.create ~name:"inflight" ();
     n_ok = 0; n_err = 0; n_disk_served = 0;
     n_admitted = 0; n_shed = 0; n_deadline = 0; n_dedup = 0; n_fanout = 0;
     outstanding = 0;
-    op_counts = []; lat = Reservoir.create (); q_max = 0; batches = 0 }
-
-let store t = t.store
+    op_counts = []; lat = Reservoir.create (); q_max = 0 }
 
 let locked t f =
   Mutex.lock t.stat_mu;
@@ -211,7 +141,7 @@ let locked t f =
    three layers, none of which can leave a wall-clock value in a
    response (responses stay byte-deterministic):
 
-   1. a wall-clock check when the request is dispatched to a pool
+   1. a wall-clock check when the request starts on a worker
       domain — a request that spent its whole budget queueing is
       answered [serve/deadline] without doing any work;
    2. a fuel cap on simulations: the deadline converts to a cycle
@@ -221,10 +151,10 @@ let locked t f =
       crucially never written to the cache, since the cap is a policy
       choice, not part of the result;
    3. wall-clock checks between the points of multi-point requests
-      (explore-slice), the "between batch items" granularity.
+      (explore-slice), the "between items" granularity.
 
    Timed-out requests get an error response like any other failure; the
-   rest of the batch is unaffected. *)
+   rest of the stream is unaffected. *)
 
 exception Deadline_exceeded of int  (* the deadline, in ms *)
 
@@ -316,7 +246,7 @@ let simulate_result t dl (s : P.simulate_req) =
     Diag.raisef ~code:"serve/request" "simulate: mem_bytes must be positive";
   let image, _words = Epic.Asm.assemble_text s.P.s_config s.P.s_asm in
   (* One predecode per (config x instruction stream), shared across the
-     whole batch stream — a re-submitted scenario skips decode entirely. *)
+     whole request stream — a re-submitted scenario skips decode entirely. *)
   let key =
     Epic.Config.fingerprint s.P.s_config ^ "|"
     ^ Epic.Sim.Predecode.image_digest image
@@ -413,8 +343,8 @@ let explore_result t dl (e : P.explore_req) =
 (* Adaptive intra-request fan-out.  Fault campaigns and fuzz batches are
    internally parallel and documented byte-identical for any jobs value
    (pre-drawn PRNG streams) — so when such a request is effectively
-   alone (nothing else in flight), serialising it inside the batch
-   wastes the whole pool.  The policy: alone on a multi-job server, the
+   alone (nothing else in flight), serialising it on one worker wastes
+   the whole pool.  The policy: alone on a multi-job server, the
    request gets the full pool; under load it runs on one domain and
    request-level parallelism does the work.  The decision is taken at
    production time, so a cached or deduplicated response never pays it,
@@ -442,23 +372,22 @@ let work_payload t dl ~jobs (op : P.op) =
    a long-running daemon answers what it cannot serve; it never dies on
    one request. *)
 let diag_of_exn = function
-  | Diag.Error d -> Some d
+  | Diag.Error d -> d
   | Epic.Asm.Asm_error d | Epic.Encoding.Encode_error d | Epic.Sim.Sim_error d ->
-    Some d
-  | Epic.Cfront.Error m -> Some (Diag.v ~code:"serve/compile" m)
-  | Epic.Opt.Pipeline.Error m -> Some (Diag.v ~code:"serve/pipeline" m)
-  | Epic.Sched.Codegen.Codegen_error m -> Some (Diag.v ~code:"serve/codegen" m)
-  | Failure m -> Some (Diag.v ~code:"serve/failure" m)
-  | Invalid_argument m -> Some (Diag.v ~code:"serve/invalid" m)
-  | P.Bad d -> Some d
+    d
+  | Epic.Cfront.Error m -> Diag.v ~code:"serve/compile" m
+  | Epic.Opt.Pipeline.Error m -> Diag.v ~code:"serve/pipeline" m
+  | Epic.Sched.Codegen.Codegen_error m -> Diag.v ~code:"serve/codegen" m
+  | Failure m -> Diag.v ~code:"serve/failure" m
+  | Invalid_argument m -> Diag.v ~code:"serve/invalid" m
+  | P.Bad d -> d
   | (Stack_overflow | Out_of_memory | Assert_failure _) as e -> raise e
-  | e -> Some (Diag.v ~code:"serve/op" (Printexc.to_string e))
+  | e -> Diag.v ~code:"serve/op" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* Batch evaluation *)
+(* Request evaluation *)
 
 type queued = {
-  qu_line_no : int;                           (* for unparseable requests *)
   qu_req : (P.request, Diag.t) result;
   qu_enq : float;
   qu_dl : dl;                                 (* resolved deadline *)
@@ -469,33 +398,52 @@ type evaluated = {
   ev_op : string;
   ev_ok : bool;
   ev_disk : bool;
-  ev_dedup : bool;    (* shared from a concurrent identical request *)
-  ev_fanout : bool;   (* produced with intra-request jobs > 1 *)
   ev_deadline : bool; (* the error was a missed deadline *)
   ev_ms : float;
 }
 
+(* Evaluate [produce] once per key across concurrent requests.  A
+   request that shares another's outcome counts a dedup hit and leaves
+   the disk flag with the producer, so stats never double-count.  A
+   deadline miss is the producer's own budget, not a property of the
+   request: a waiter handed someone else's miss re-runs the protocol and
+   typically becomes the next producer. *)
+let rec dedup t key produce =
+  let ran = ref false in
+  let shared () =
+    if not !ran then locked t (fun () -> t.n_dedup <- t.n_dedup + 1)
+  in
+  match
+    Epic.Exec.Cache.share t.inflight key (fun () ->
+        ran := true;
+        match produce () with
+        | v -> Ok v
+        | exception Deadline_exceeded ms -> Error ms)
+  with
+  | Ok (payload, disk) ->
+    shared ();
+    (payload, disk && !ran)
+  | Error ms when !ran -> raise (Deadline_exceeded ms)
+  | Error _ -> dedup t key produce
+  | exception e ->
+    shared ();
+    raise e
+
 let eval t (q : queued) : evaluated =
-  let finish ?(deadline = false) ?(dedup = false) ?(fanout = false) ~op ~ok
-      ~disk line =
+  let finish ?(deadline = false) ~op ~ok ~disk line =
     { ev_line = line; ev_op = op; ev_ok = ok; ev_disk = disk;
-      ev_dedup = dedup; ev_fanout = fanout; ev_deadline = deadline;
-      ev_ms = (Epic.Exec.now () -. q.qu_enq) *. 1e3 }
+      ev_deadline = deadline; ev_ms = (Epic.Exec.now () -. q.qu_enq) *. 1e3 }
   in
   match q.qu_req with
   | Error d ->
     finish ~op:"invalid" ~ok:false ~disk:false (P.error_response ~id:None d)
   | Ok { P.rq_id = id; rq_op = op; _ } ->
     let opn = P.op_name op in
-    let fanned = ref false in
     (* The fan-out decision happens only when the payload is actually
        produced — a disk hit or a dedup share never records one. *)
     let produce () =
       let jobs = intra_jobs t op in
-      if jobs > 1 then begin
-        fanned := true;
-        locked t (fun () -> t.n_fanout <- t.n_fanout + 1)
-      end;
+      if jobs > 1 then locked t (fun () -> t.n_fanout <- t.n_fanout + 1);
       work_payload t q.qu_dl ~jobs op
     in
     let produce_stored () =
@@ -510,25 +458,17 @@ let eval t (q : queued) : evaluated =
           producer raising leaves no entry behind. *)
        check_deadline q.qu_dl;
        match P.cache_key op with
-       | Some key ->
-         Dedup.run t.dedup
-           ~retry:(function Deadline_exceeded _ -> true | _ -> false)
-           ~on_hit:(fun () -> locked t (fun () -> t.n_dedup <- t.n_dedup + 1))
-           key produce_stored
-       | None ->
-         let payload, disk = produce_stored () in
-         (payload, disk, false)
+       | Some key -> dedup t key produce_stored
+       | None -> produce_stored ()
      with
-     | payload, disk, dedup ->
-       finish ~op:opn ~ok:true ~disk ~dedup ~fanout:!fanned
-         (P.ok_response ~id ~result:payload)
+     | payload, disk ->
+       finish ~op:opn ~ok:true ~disk (P.ok_response ~id ~result:payload)
      | exception Deadline_exceeded ms ->
        finish ~op:opn ~ok:false ~disk:false ~deadline:true
          (P.error_response ~id (deadline_diag ms))
      | exception e ->
-       (match diag_of_exn e with
-        | Some d -> finish ~op:opn ~ok:false ~disk:false (P.error_response ~id d)
-        | None -> raise e))
+       finish ~op:opn ~ok:false ~disk:false
+         (P.error_response ~id (diag_of_exn e)))
 
 (* Callers hold [stat_mu]. *)
 let bump_counter t op =
@@ -539,39 +479,16 @@ let bump_counter t op =
 
 let bump t op = locked t (fun () -> bump_counter t op)
 
+(* Called as the response is written, which is also when its admission
+   slot is released. *)
 let record t (e : evaluated) =
   locked t (fun () ->
+      t.outstanding <- t.outstanding - 1;
       if e.ev_ok then t.n_ok <- t.n_ok + 1 else t.n_err <- t.n_err + 1;
       if e.ev_disk then t.n_disk_served <- t.n_disk_served + 1;
       if e.ev_deadline then t.n_deadline <- t.n_deadline + 1;
-      (* dedup / fan-out are counted at evaluation time, where they are
-         decided — [ev_dedup]/[ev_fanout] exist for the transcript. *)
       bump_counter t e.ev_op;
       Reservoir.add t.lat e.ev_ms)
-
-let flush_batch t emit = function
-  | [] -> ()
-  | queue ->
-    let arr = Array.of_list (List.rev queue) in
-    let n = Array.length arr in
-    locked t (fun () ->
-        t.q_max <- max t.q_max n;
-        t.batches <- t.batches + 1;
-        t.outstanding <- t.outstanding + n);
-    let results =
-      Epic.Exec.Pool.run ~jobs:t.jobs n (fun i ->
-          let e = eval t arr.(i) in
-          (* Completion feeds the fan-out policy: once the rest of the
-             batch drains, a late fault/fuzz item may still get the
-             pool. *)
-          locked t (fun () -> t.outstanding <- t.outstanding - 1);
-          e)
-    in
-    Array.iter
-      (fun e ->
-        record t e;
-        emit e.ev_line)
-      results
 
 (* ------------------------------------------------------------------ *)
 (* Statistics *)
@@ -618,7 +535,6 @@ let stats_json t =
       ("errors", J.Int t.n_err);
       ("ops", J.Obj (List.rev_map (fun (k, n) -> (k, J.Int n)) t.op_counts));
       ("latency", latency_json t);
-      ("batches", J.Int t.batches);
       ("queue_depth_max", J.Int t.q_max);
       ("queue_max", J.Int t.queue_max);
       ("admitted", J.Int t.n_admitted);
@@ -641,10 +557,20 @@ let stats_json t =
              (fun (name, s) -> (name, Epic.Exec.Cache.stats_to_json s))
              (Epic.Toolchain.Compile_cache.stats t.cache)) ) ]
 
-let summary_json = stats_json
-
 (* ------------------------------------------------------------------ *)
-(* Serve loop over an abstract line transport *)
+(* The serve loop over an abstract line transport.
+
+   One reader per connection; the heavy work lives on a shared
+   {!Epic.Exec.Workq}.  Each admitted request gets a completion cell in
+   the connection's FIFO and a task on the queue; responses are emitted
+   strictly in cell order, which keeps a connection's response stream
+   byte-identical for any [--jobs].  Admission compares the {e global}
+   count of admitted-but-unwritten responses against [queue_max], since
+   the queue being protected is the shared one; on a single connection
+   shedding therefore depends only on the request stream.  Control
+   requests drain only their own connection's FIFO, then answer inline;
+   cross-client coincidences of the same request are collapsed by
+   [dedup] inside [eval]. *)
 
 type io = {
   next_line : unit -> string option;  (* blocking; None = end of input *)
@@ -664,65 +590,113 @@ let overload_diag t ~depth =
         retry"
        depth t.queue_max)
 
-let serve t io : stop =
-  let emit line = io.emit line in
-  let rec loop queue depth =
+type cell = { mutable c_out : (evaluated, exn) result option }
+
+(* Responses a connection may hold back while its reader keeps taking
+   pipelined input; at this many the reader drains its FIFO first. *)
+let fifo_max = 64
+
+let serve t ~(pool : Epic.Exec.Workq.t) io : stop =
+  let mu = Mutex.create () in
+  let cond = Condition.create () in
+  let inflight : cell Queue.t = Queue.create () in
+  let await cell =
+    Mutex.lock mu;
+    while cell.c_out = None do
+      Condition.wait cond mu
+    done;
+    let r = Option.get cell.c_out in
+    Mutex.unlock mu;
+    r
+  in
+  (* A cell leaves the FIFO only as its response is written, so the
+     [finally] below can release the admission slot of every response
+     this connection never wrote. *)
+  let flush () =
+    while not (Queue.is_empty inflight) do
+      match await (Queue.peek inflight) with
+      | Error x -> raise x
+      | Ok e ->
+        ignore (Queue.pop inflight);
+        record t e;
+        io.emit e.ev_line
+    done
+  in
+  let submit q =
+    let cell = { c_out = None } in
+    Queue.push cell inflight;
+    Epic.Exec.Workq.submit pool (fun () ->
+        let r = (match eval t q with e -> Ok e | exception x -> Error x) in
+        Mutex.lock mu;
+        cell.c_out <- Some r;
+        Condition.broadcast cond;
+        Mutex.unlock mu)
+  in
+  (* [Some depth] when the request must be shed. *)
+  let admit () =
+    locked t (fun () ->
+        if t.outstanding >= t.queue_max then begin
+          t.n_shed <- t.n_shed + 1;
+          bump_counter t "shed";
+          Some t.outstanding
+        end
+        else begin
+          t.n_admitted <- t.n_admitted + 1;
+          t.outstanding <- t.outstanding + 1;
+          t.q_max <- max t.q_max t.outstanding;
+          None
+        end)
+  in
+  let rec loop () =
     match io.next_line () with
     | None ->
-      flush_batch t emit queue;
+      flush ();
       Eof
     | Some line ->
       let enq = Epic.Exec.now () in
       let req = P.request_of_line line in
       (match req with
-       | Ok { P.rq_id = id; rq_op = P.Stats; _ } ->
-         flush_batch t emit queue;
-         bump t "stats";
-         emit (P.ok_response ~id ~result:(J.to_string (stats_json t)));
-         loop [] 0
-       | Ok { P.rq_id = id; rq_op = P.Shutdown; _ } ->
-         flush_batch t emit queue;
-         bump t "shutdown";
-         emit (P.ok_response ~id ~result:(J.to_string (summary_json t)));
-         Shutdown_requested
-       | _ when depth >= t.queue_max ->
-         (* Overload shedding: above the high-water mark every new work
-            request (or unparseable line) is rejected {e immediately} —
-            ahead of the queued work, out of request order, which is
-            why responses carry ids — so a client learns to back off in
-            microseconds instead of waiting behind the queue it is
-            trying to add to. *)
-         locked t (fun () ->
-             t.n_shed <- t.n_shed + 1;
-             bump_counter t "shed");
-         let id = match req with Ok r -> r.P.rq_id | Error _ -> None in
-         emit (P.error_response ~id (overload_diag t ~depth));
-         loop queue depth
+       | Ok { P.rq_id = id; rq_op = (P.Stats | P.Shutdown) as op; _ } ->
+         flush ();
+         bump t (P.op_name op);
+         io.emit (P.ok_response ~id ~result:(J.to_string (stats_json t)));
+         if op = P.Shutdown then Shutdown_requested else loop ()
        | _ ->
-         locked t (fun () -> t.n_admitted <- t.n_admitted + 1);
-         let dl =
-           deadline_of t ~enq
-             (match req with
-              | Ok r -> r.P.rq_deadline_ms
-              | Error _ -> None)
-         in
-         let queue =
-           { qu_line_no = depth; qu_req = req; qu_enq = enq; qu_dl = dl }
-           :: queue
-         in
-         let depth = depth + 1 in
-         if depth >= t.batch_max || not (io.pending ()) then begin
-           flush_batch t emit queue;
-           loop [] 0
-         end
-         else loop queue depth)
+         (match admit () with
+          | Some depth ->
+            (* Overload shedding: above the high-water mark every new
+               work request (or unparseable line) is rejected
+               {e immediately} — ahead of the queued work, out of
+               request order, which is why responses carry ids — so a
+               client learns to back off in microseconds instead of
+               waiting behind the queue it is trying to add to. *)
+            let id = match req with Ok r -> r.P.rq_id | Error _ -> None in
+            io.emit (P.error_response ~id (overload_diag t ~depth))
+          | None ->
+            let dl =
+              deadline_of t ~enq
+                (match req with
+                 | Ok r -> r.P.rq_deadline_ms
+                 | Error _ -> None)
+            in
+            submit { qu_req = req; qu_enq = enq; qu_dl = dl };
+            if Queue.length inflight >= fifo_max || not (io.pending ()) then
+              flush ());
+         loop ())
   in
-  loop [] 0
+  Fun.protect loop ~finally:(fun () ->
+      let unwritten = Queue.length inflight in
+      if unwritten > 0 then
+        locked t (fun () -> t.outstanding <- t.outstanding - unwritten))
+
+let with_pool t f =
+  let pool = Epic.Exec.Workq.create ~jobs:t.jobs () in
+  Fun.protect ~finally:(fun () -> Epic.Exec.Workq.shutdown pool) (fun () ->
+      f pool)
 
 (* In-memory transport: the whole request list is one pending stream, so
-   batching (up to [batch_max]) and control barriers behave exactly as
-   they do on a pipe under load.  Used by the tests and epicload's
-   in-process mode. *)
+   the FIFO and control barriers behave exactly as they do on a pipe
+   under load.  Used by the tests and epicload's in-process mode. *)
 let serve_strings t lines =
   let rem = ref lines in
   let out = ref [] in
@@ -733,7 +707,7 @@ let serve_strings t lines =
       pending = (fun () -> !rem <> []);
       emit = (fun s -> out := s :: !out) }
   in
-  ignore (serve t io);
+  ignore (with_pool t (fun pool -> serve t ~pool io));
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
@@ -742,7 +716,7 @@ let serve_strings t lines =
    The reader works on the raw file descriptor with its own buffer, so
    "is more input pending?" is answerable: a buffered newline, or the
    descriptor selecting readable.  (A stdlib in_channel would read
-   ahead invisibly and defeat the batching heuristic.) *)
+   ahead invisibly and hide pending input from the serve loop.) *)
 
 module Line_reader = struct
   type r = {
@@ -849,118 +823,41 @@ let io_of_fd in_fd oc =
         output_char oc '\n';
         flush oc) }
 
-let run_pipe t ~in_fd ~out : stop = serve t (io_of_fd in_fd out)
+let run_pipe t ~in_fd ~out : stop =
+  with_pool t (fun pool -> serve t ~pool (io_of_fd in_fd out))
 
-(* ------------------------------------------------------------------ *)
-(* Concurrent serving: one reader per connection over a shared pool.
+(* Unix-socket mode: up to [max_conns] connections are served at once
+   over one shared work queue; with [max_conns = 1] they are accepted
+   strictly one at a time.  The accept loop polls with a short select
+   timeout so it notices the stop flag; each connection runs its reader
+   on a systhread (cheap blocking I/O — the heavy work lives on the
+   queue's domains).  Shutdown drain: the connection that received the
+   shutdown request answers it, then EOFs every peer's read side
+   ([SHUTDOWN_RECEIVE] wakes a blocked read); peers flush their queued
+   work — every admitted request is still answered — and exit on
+   end-of-input.
 
-   [serve] batches because it owns the whole pool for one client.  With
-   many clients the pool must be shared, so the unit of dispatch shrinks
-   from "batch" to "request": each admitted request gets a completion
-   cell (FIFO per connection) and a task on the shared {!Epic.Exec.Workq};
-   responses are emitted strictly in cell order, which keeps a
-   connection's response stream byte-identical to sequential mode for
-   any [--jobs] (shedding aside — admission compares the {e global}
-   in-flight count against [queue_max], since the queue being protected
-   is the shared one).  Control requests flush only their own
-   connection's in-flight work, then answer inline; cross-client
-   coincidences of the same request are collapsed by the dedup table
-   inside [eval]. *)
-
-type cell = { mutable c_out : (evaluated, exn) result option }
-
-let serve_shared t ~(pool : Epic.Exec.Workq.t) io : stop =
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let inflight : cell Queue.t = Queue.create () in
-  let await cell =
-    Mutex.lock mu;
-    while cell.c_out = None do
-      Condition.wait cond mu
-    done;
-    let r = Option.get cell.c_out in
-    Mutex.unlock mu;
-    r
-  in
-  let flush () =
-    while not (Queue.is_empty inflight) do
-      match await (Queue.pop inflight) with
-      | Ok e ->
-        record t e;
-        io.emit e.ev_line
-      | Error x -> raise x
-    done
-  in
-  let submit q =
-    let cell = { c_out = None } in
-    Queue.push cell inflight;
-    Epic.Exec.Workq.submit pool (fun () ->
-        let r = (match eval t q with e -> Ok e | exception x -> Error x) in
-        locked t (fun () -> t.outstanding <- t.outstanding - 1);
-        Mutex.lock mu;
-        cell.c_out <- Some r;
-        Condition.broadcast cond;
-        Mutex.unlock mu)
-  in
-  let rec loop () =
-    match io.next_line () with
-    | None ->
-      flush ();
-      Eof
-    | Some line ->
-      let enq = Epic.Exec.now () in
-      let req = P.request_of_line line in
-      (match req with
-       | Ok { P.rq_id = id; rq_op = P.Stats; _ } ->
-         flush ();
-         bump t "stats";
-         io.emit (P.ok_response ~id ~result:(J.to_string (stats_json t)));
-         loop ()
-       | Ok { P.rq_id = id; rq_op = P.Shutdown; _ } ->
-         flush ();
-         bump t "shutdown";
-         io.emit (P.ok_response ~id ~result:(J.to_string (summary_json t)));
-         Shutdown_requested
-       | _ ->
-         let depth = locked t (fun () -> t.outstanding) in
-         if depth >= t.queue_max then begin
-           locked t (fun () ->
-               t.n_shed <- t.n_shed + 1;
-               bump_counter t "shed");
-           let id = match req with Ok r -> r.P.rq_id | Error _ -> None in
-           io.emit (P.error_response ~id (overload_diag t ~depth));
-           loop ()
-         end
-         else begin
-           locked t (fun () ->
-               t.n_admitted <- t.n_admitted + 1;
-               t.outstanding <- t.outstanding + 1;
-               t.q_max <- max t.q_max t.outstanding);
-           let dl =
-             deadline_of t ~enq
-               (match req with
-                | Ok r -> r.P.rq_deadline_ms
-                | Error _ -> None)
-           in
-           submit { qu_line_no = 0; qu_req = req; qu_enq = enq; qu_dl = dl };
-           if Queue.length inflight >= t.batch_max || not (io.pending ()) then
-             flush ();
-           loop ()
-         end)
-  in
-  loop ()
-
-(* Acceptor for multi-connection mode.  The accept loop polls with a
-   short select timeout so it notices the stop flag; each connection
-   runs its reader on a systhread (cheap blocking I/O — the heavy work
-   lives on the pool's domains).  Shutdown drain: the connection that
-   received the shutdown request answers it, then EOFs every peer's
-   read side ([SHUTDOWN_RECEIVE] wakes a blocked read); peers flush
-   their queued work — every admitted request is still answered — and
-   exit on end-of-input.  In this mode a non-I/O exception costs the
-   connection, never the daemon. *)
-let run_socket_concurrent t ~sock ~max_conns : stop =
-  let pool = Epic.Exec.Workq.create ~jobs:t.jobs () in
+   A broken client must not take the daemon down with it: SIGPIPE is
+   ignored for the process (a write to a dead peer then surfaces as
+   EPIPE / [Sys_error] instead of a fatal signal), and any exception on
+   a connection — the peer resetting mid-request, vanishing before
+   reading its responses, a handler error — is logged to stderr and
+   costs that connection, never the daemon. *)
+let run_socket ?(max_conns = 1) t ~path : stop =
+  if max_conns < 1 then
+    invalid_arg "Epic_serve.Server.run_socket: max_conns must be >= 1";
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock (max 16 max_conns);
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
+      try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
+  @@ fun () ->
+  with_pool t @@ fun pool ->
   let reg_mu = Mutex.create () in
   let conns : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 16 in
   let stop_flag = ref false in
@@ -980,7 +877,7 @@ let run_socket_concurrent t ~sock ~max_conns : stop =
   let handle cid conn =
     let oc = Unix.out_channel_of_descr conn in
     let stop =
-      match serve_shared t ~pool (io_of_fd conn oc) with
+      match serve t ~pool (io_of_fd conn oc) with
       | stop -> stop
       | exception
           (( Unix.Unix_error
@@ -1007,17 +904,17 @@ let run_socket_concurrent t ~sock ~max_conns : stop =
     try Unix.close conn with Unix.Unix_error (_, _, _) -> ()
   in
   let stopping () = with_reg (fun () -> !stop_flag) in
-  let rec accept_loop () =
+  let rec acceptor () =
     if stopping () then ()
     else if with_reg (fun () -> Hashtbl.length conns) >= max_conns then begin
       (* At capacity: let dial-ins wait in the listen backlog. *)
       Unix.sleepf 0.02;
-      accept_loop ()
+      acceptor ()
     end
     else
       match Unix.select [ sock ] [] [] 0.05 with
-      | [], _, _ -> accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+      | [], _, _ -> acceptor ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> acceptor ()
       | _ ->
         (match Unix.accept sock with
          | conn, _ ->
@@ -1025,66 +922,12 @@ let run_socket_concurrent t ~sock ~max_conns : stop =
            let cid = !next_id in
            with_reg (fun () -> Hashtbl.replace conns cid conn);
            threads := Thread.create (handle cid) conn :: !threads;
-           accept_loop ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ())
+           acceptor ()
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> acceptor ())
   in
-  accept_loop ();
+  acceptor ();
   (* A connection accepted in the same instant the stop flag was set
      missed the peer drain above — EOF it here before joining. *)
   with_reg eof_peers_locked;
   List.iter Thread.join !threads;
-  Epic.Exec.Workq.shutdown pool;
   Shutdown_requested
-
-(* Unix-socket mode.  With [max_conns = 1] (the default) connections
-   are accepted strictly one at a time and each is served by the
-   batching [serve] loop, exactly as before; with [max_conns > 1] up to
-   that many connections are served concurrently over one shared worker
-   pool ([run_socket_concurrent]).  A shutdown request stops the daemon
-   after answering.
-
-   A broken client must not take the daemon down with it: SIGPIPE is
-   ignored for the process (a write to a dead peer then surfaces as
-   EPIPE / [Sys_error] instead of a fatal signal), and any connection
-   error — the peer resetting mid-request, vanishing before reading its
-   responses — is logged to stderr and the accept loop continues.  In
-   sequential mode non-I/O exceptions (daemon bugs) still propagate. *)
-let run_socket ?(max_conns = 1) t ~path : stop =
-  if max_conns < 1 then
-    invalid_arg "Epic_serve.Server.run_socket: max_conns must be >= 1";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink path with Unix.Unix_error (_, _, _) -> ());
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock (max 16 max_conns);
-  let rec accept_loop () =
-    let conn, _ = Unix.accept sock in
-    let oc = Unix.out_channel_of_descr conn in
-    let stop =
-      match serve t (io_of_fd conn oc) with
-      | stop -> stop
-      | exception
-          (( Unix.Unix_error
-               ( ( Unix.EPIPE | Unix.ECONNRESET | Unix.ENOTCONN
-                 | Unix.ETIMEDOUT ),
-                 _, _ )
-           | Sys_error _ ) as e) ->
-        Printf.eprintf "epicd: dropping client after connection error: %s\n%!"
-          (Printexc.to_string e);
-        Eof
-      | exception e ->
-        (try Unix.close conn with Unix.Unix_error (_, _, _) -> ());
-        raise e
-    in
-    (try flush oc with Sys_error _ -> ());
-    (try Unix.close conn with Unix.Unix_error (_, _, _) -> ());
-    match stop with Eof -> accept_loop () | Shutdown_requested -> Shutdown_requested
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
-      try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-    (fun () ->
-      if max_conns = 1 then accept_loop ()
-      else run_socket_concurrent t ~sock ~max_conns)

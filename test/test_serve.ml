@@ -121,22 +121,6 @@ let work_batch () =
   in
   List.map P.to_line reqs
 
-let test_jobs_invariance () =
-  let serve jobs =
-    Server.serve_strings (Server.create ~jobs ()) (work_batch ())
-  in
-  let r1 = serve 1 in
-  let r3 = serve 3 in
-  let r4 = serve 4 in
-  Alcotest.(check (list string)) "jobs 1 = jobs 3" r1 r3;
-  Alcotest.(check (list string)) "jobs 1 = jobs 4" r1 r4;
-  List.iter
-    (fun line ->
-      match Option.bind (Result.to_option (J.parse line)) (J.member "ok") with
-      | Some (J.Bool true) -> ()
-      | _ -> Alcotest.failf "work response not ok: %s" line)
-    r1
-
 (* ---- disk persistence across restarts ----------------------------- *)
 
 let with_tmpdir f =
@@ -623,82 +607,6 @@ let test_store_hit_refreshes_mtime () =
   Alcotest.(check (option string)) "stale entry evicted" None
     (Store.find st ~key:"cold")
 
-(* ---- in-flight dedup table ----------------------------------------- *)
-
-let no_retry : exn -> bool = fun _ -> false
-
-let test_dedup_inflight () =
-  let d = Server.Dedup.create () in
-  let hits = ref 0 in
-  let leader = ref None in
-  let th =
-    Thread.create
-      (fun () ->
-        leader :=
-          Some
-            (Server.Dedup.run d ~retry:no_retry
-               ~on_hit:(fun () -> ())
-               "k"
-               (fun () ->
-                 Unix.sleepf 0.2;
-                 ("payload", true))))
-      ()
-  in
-  Unix.sleepf 0.05;
-  (* A second evaluator of the same key while the first is in flight:
-     must wait and share, never recompute. *)
-  let p, disk, shared =
-    Server.Dedup.run d ~retry:no_retry
-      ~on_hit:(fun () -> incr hits)
-      "k"
-      (fun () -> Alcotest.fail "waiter recomputed the payload")
-  in
-  Thread.join th;
-  Alcotest.(check string) "shared the leader's payload" "payload" p;
-  Alcotest.(check bool) "waiter does not claim the disk hit" false disk;
-  Alcotest.(check bool) "marked as shared" true shared;
-  Alcotest.(check int) "one dedup hit" 1 !hits;
-  (match !leader with
-   | Some ("payload", true, false) -> ()
-   | _ -> Alcotest.fail "leader outcome wrong");
-  (* The entry's lifetime is the leader's evaluation: afterwards the key
-     is free and a new request computes afresh. *)
-  let p2, _, shared2 =
-    Server.Dedup.run d ~retry:no_retry
-      ~on_hit:(fun () -> ())
-      "k"
-      (fun () -> ("fresh", false))
-  in
-  Alcotest.(check string) "key free after resolution" "fresh" p2;
-  Alcotest.(check bool) "not shared" false shared2;
-  (* Failures are shared too: deterministic errors are one evaluation. *)
-  let th2 =
-    Thread.create
-      (fun () ->
-        match
-          Server.Dedup.run d ~retry:no_retry
-            ~on_hit:(fun () -> ())
-            "boom"
-            (fun () ->
-              Unix.sleepf 0.2;
-              failwith "deterministic failure")
-        with
-        | _ -> ()
-        | exception Failure _ -> ())
-      ()
-  in
-  Unix.sleepf 0.05;
-  (match
-     Server.Dedup.run d ~retry:no_retry
-       ~on_hit:(fun () -> incr hits)
-       "boom"
-       (fun () -> Alcotest.fail "waiter recomputed the failure")
-   with
-   | _ -> Alcotest.fail "leader failure was not shared"
-   | exception Failure m ->
-     Alcotest.(check string) "shared exception" "deterministic failure" m);
-  Thread.join th2
-
 (* ---- adaptive intra-request fan-out -------------------------------- *)
 
 let stats_field line path =
@@ -877,6 +785,164 @@ let test_socket_concurrent () =
   Alcotest.(check bool) "daemon honoured shutdown" true
     (stop = Server.Shutdown_requested)
 
+(* ---- one serving loop behind every transport ---------------------- *)
+
+(* Write [lines] and half-close. *)
+let send sock lines =
+  let oc = Unix.out_channel_of_descr sock in
+  List.iter (fun l -> output_string oc l; output_char oc '\n') lines;
+  flush oc;
+  Unix.shutdown sock Unix.SHUTDOWN_SEND
+
+(* Read every response to end of input. *)
+let read_all sock =
+  let ic = Unix.in_channel_of_descr sock in
+  let rec read acc =
+    match input_line ic with
+    | l -> read (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let rs = read [] in
+  (try Unix.close sock with Unix.Unix_error (_, _, _) -> ());
+  rs
+
+let session sock lines =
+  send sock lines;
+  read_all sock
+
+let stats_line =
+  P.to_line { P.rq_id = Some 90; rq_deadline_ms = None; rq_op = P.Stats }
+
+(* Run a socket daemon on its own domain for the duration of [f], which
+   gets a connect function; a final connection shuts the daemon down. *)
+let with_socket_daemon ~max_conns t f =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "sock" in
+  let srv = Domain.spawn (fun () -> Server.run_socket ~max_conns t ~path) in
+  let rec await n =
+    if Sys.file_exists path then ()
+    else if n = 0 then Alcotest.fail "socket never appeared"
+    else (Unix.sleepf 0.02; await (n - 1))
+  in
+  await 250;
+  let connect () =
+    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect s (Unix.ADDR_UNIX path);
+    s
+  in
+  let shutdown () =
+    ignore
+      (session (connect ())
+         [ P.to_line
+             { P.rq_id = Some 91; rq_deadline_ms = None; rq_op = P.Shutdown } ]);
+    Alcotest.(check bool) "daemon honoured shutdown" true
+      (Domain.join srv = Server.Shutdown_requested)
+  in
+  Fun.protect ~finally:shutdown (fun () -> f connect)
+
+(* Pipe mode over a file descriptor, as epicd reads stdin. *)
+let serve_pipe t lines =
+  with_tmpdir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let input = Filename.concat dir "input" in
+  write_file input (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let fd = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+  let out_path = Filename.concat dir "out" in
+  let out = open_out out_path in
+  ignore (Server.run_pipe t ~in_fd:fd ~out : Server.stop);
+  close_out out;
+  Unix.close fd;
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file out_path))
+
+let test_jobs_invariance () =
+  let batch = work_batch () in
+  let serve jobs = Server.serve_strings (Server.create ~jobs ()) batch in
+  let r1 = serve 1 in
+  let r3 = serve 3 in
+  let r4 = serve 4 in
+  Alcotest.(check (list string)) "jobs 1 = jobs 3" r1 r3;
+  Alcotest.(check (list string)) "jobs 1 = jobs 4" r1 r4;
+  List.iter
+    (fun line ->
+      match Option.bind (Result.to_option (J.parse line)) (J.member "ok") with
+      | Some (J.Bool true) -> ()
+      | _ -> Alcotest.failf "work response not ok: %s" line)
+    r1;
+  (* Every transport runs the same loop: the pipe and the socket at any
+     connection cap give the same bytes for any jobs value. *)
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "pipe, jobs %d" jobs)
+        r1
+        (serve_pipe (Server.create ~jobs ()) batch);
+      List.iter
+        (fun max_conns ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "socket, max_conns %d, jobs %d" max_conns jobs)
+            r1
+            (with_socket_daemon ~max_conns (Server.create ~jobs ())
+               (fun connect -> session (connect ()) batch)))
+        [ 1; 8 ])
+    [ 1; 4 ]
+
+(* A client that pipelines work and leaves without reading must not keep
+   its admission slots: they are released when its connection ends. *)
+let test_abandoned_connection () =
+  let queue_max = 4 in
+  let t = Server.create ~jobs:2 ~queue_max () in
+  with_socket_daemon ~max_conns:8 t @@ fun connect ->
+  let rude = connect () in
+  let oc = Unix.out_channel_of_descr rude in
+  for i = 0 to 7 do
+    output_string oc (sim_line ~fuel:(2_000_000 + i) ~id:i spin_asm);
+    output_char oc '\n'
+  done;
+  flush oc;
+  Unix.close rude;
+  let rec settle n =
+    let stats = List.hd (session (connect ()) [ stats_line ]) in
+    match stats_field stats [ "in_flight" ] with
+    | Some (J.Int 0) -> ()
+    | Some (J.Int _) when n > 0 ->
+      Unix.sleepf 0.05;
+      settle (n - 1)
+    | _ -> Alcotest.fail "in_flight never returned to 0"
+  in
+  settle 200;
+  let burst =
+    List.init queue_max (fun i ->
+        sim_line ~id:i (Printf.sprintf "_start:\n{ MOV r3, #%d }\n{ HALT }\n" i))
+  in
+  let rs = session (connect ()) burst in
+  Alcotest.(check int) "burst answered" queue_max (List.length rs);
+  List.iter
+    (fun l -> Alcotest.(check bool) "burst not shed" true (response_ok l))
+    rs
+
+(* Two connections send the same spin, one under a deadline the spin
+   cannot meet.  The deadline miss belongs to the bounded request only:
+   whichever computes first, the unbounded one must get its result.  The
+   bounded request is sent first, so it usually computes while the
+   unbounded one waits on it. *)
+let test_deadline_miss_not_shared () =
+  let t = Server.create ~jobs:2 () in
+  with_socket_daemon ~max_conns:8 t @@ fun connect ->
+  let spin ?dl id = sim_line ?dl ~fuel:2_000_000 ~id spin_asm in
+  let bounded = connect () in
+  send bounded [ spin ~dl:150 0 ];
+  Unix.sleepf 0.02;
+  let free = session (connect ()) [ spin 1 ] in
+  Alcotest.(check int) "bounded request answered" 1
+    (List.length (read_all bounded));
+  match free with
+  | [ r ] ->
+    Alcotest.(check bool) "unbounded request ok" true (response_ok r);
+    Alcotest.(check bool) "never serve/deadline" false
+      (response_code r = Some (J.Str "serve/deadline"))
+  | rs -> Alcotest.failf "unbounded request got %d responses" (List.length rs)
+
 (* ---- memo-cache observation API ----------------------------------- *)
 
 let test_cache_snapshot_reset () =
@@ -920,9 +986,12 @@ let suite =
     Alcotest.test_case "latency reservoir" `Quick test_latency_reservoir;
     Alcotest.test_case "store hit refreshes mtime" `Quick
       test_store_hit_refreshes_mtime;
-    Alcotest.test_case "in-flight dedup table" `Quick test_dedup_inflight;
     Alcotest.test_case "adaptive intra-request fan-out" `Quick
       test_adaptive_fanout;
     Alcotest.test_case "concurrent socket serving" `Quick
       test_socket_concurrent;
+    Alcotest.test_case "abandoned connection releases admission" `Quick
+      test_abandoned_connection;
+    Alcotest.test_case "deadline miss is not shared" `Quick
+      test_deadline_miss_not_shared;
     Alcotest.test_case "cache snapshot/reset" `Quick test_cache_snapshot_reset ]
